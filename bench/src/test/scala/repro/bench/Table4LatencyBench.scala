@@ -1,9 +1,9 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.baselines.{GTI, SLI}
 import repro.core.{Habit, HabitConfig, MotionGraph}
 import repro.eval.GapHarness
+import repro.exp.Tables
 
 /** Reproduces Table 4 — average and maximum imputation query latency (s)
   * for HABIT (r, t) and GTI (rm, rd) configurations over the same 60-min
@@ -19,76 +19,28 @@ import repro.eval.GapHarness
 class Table4LatencyBench extends AnyFunSuite {
   import BenchData._
 
-  private val paper = Map( // (dataset, method, config) -> (avg s, max s)
-    ("KIEL", "HABIT", "r=9 t=100")       -> (0.024, 0.041),
-    ("KIEL", "HABIT", "r=9 t=250")       -> (0.019, 0.047),
-    ("KIEL", "HABIT", "r=10 t=100")      -> (0.071, 0.121),
-    ("KIEL", "HABIT", "r=10 t=250")      -> (0.070, 0.128),
-    ("KIEL", "GTI", "rm=250 rd=1e-4")    -> (0.261, 0.281),
-    ("KIEL", "GTI", "rm=250 rd=5e-4")    -> (0.300, 0.431),
-    ("KIEL", "GTI", "rm=250 rd=1e-3")    -> (0.402, 0.931),
-    ("SAR", "HABIT", "r=9 t=100")        -> (0.032, 0.202),
-    ("SAR", "HABIT", "r=9 t=250")        -> (0.031, 0.186),
-    ("SAR", "HABIT", "r=10 t=100")       -> (0.139, 0.963),
-    ("SAR", "HABIT", "r=10 t=250")       -> (0.139, 0.866),
-    ("SAR", "GTI", "rm=250 rd=1e-4")     -> (0.492, 0.550),
-    ("SAR", "GTI", "rm=250 rd=5e-4")     -> (0.711, 1.598),
-    ("SAR", "GTI", "rm=500 rd=1e-3")     -> (1.216, 5.185))
-
   test("Table 4: imputation query latency (and Figure 5 accuracy)") {
-    val results = for (p <- Seq(kiel, sar)) yield {
-      val gaps = p.gaps(3600)
-      assert(gaps.nonEmpty, s"no eligible gaps on ${p.name}")
-      val graphs = Seq(9, 10).map(r => r -> MotionGraph.build(p.trainDf, r)).toMap
-      val habitRows = for ((r, t) <- Seq((9, 100), (9, 250), (10, 100), (10, 250))) yield {
-        val h = new Habit(graphs(r), HabitConfig(res = r, toleranceM = t))
-        GapHarness.evaluate(h.impute, gaps) // JIT warm-up pass, untimed
-        val res = GapHarness.evaluate(h.impute, gaps)
-        (p.name, "HABIT", s"r=$r t=$t", res)
-      }
-      val paths = gtiPaths(p)
-      val gtiConfigs =
-        if (p.name == "KIEL") Seq((250.0, 1e-4), (250.0, 5e-4), (250.0, 1e-3))
-        else Seq((250.0, 1e-4), (250.0, 5e-4), (500.0, 1e-3))
-      val gtiRows = for ((rm, rd) <- gtiConfigs) yield {
-        val g = GTI.build(paths, rmM = rm, rdDeg = rd)
-        GapHarness.evaluate(g.impute, gaps) // JIT warm-up pass, untimed
-        val res = GapHarness.evaluate(g.impute, gaps)
-        val rdS = if (rd == 1e-4) "1e-4" else if (rd == 5e-4) "5e-4" else "1e-3"
-        (p.name, "GTI", s"rm=${rm.toInt} rd=$rdS", res)
-      }
-      val sliRow = (p.name, "SLI", "-", GapHarness.evaluate(SLI.impute, gaps))
-      (p.name, gaps.size, habitRows, gtiRows, sliRow)
-    }
+    val tables = Tables.table4(Seq(kiel, sar))
+    tables.foreach(t => assert(t.gaps > 0, s"no eligible gaps on ${t.dataset}"))
+    Tables.printTable4(tables)
 
-    val allRows = results.flatMap { case (_, _, h, g, s) => h ++ g :+ s }
-    printTable("Table 4: query latency (s) + DTW accuracy, ours vs paper",
-      Seq("Dataset", "Method", "Config", "Avg s", "Max s", "meanDTW m", "medDTW m",
-          "paper Avg", "paper Max"),
-      allRows.map { case (ds, m, cfg, res) =>
-        val (pa, pm) = paper.getOrElse((ds, m, cfg), (Double.NaN, Double.NaN))
-        Seq(ds, m, cfg, f"${res.avgLatency}%.4f", f"${res.maxLatency}%.4f",
-            fmt(res.meanDtw), fmt(res.medianDtw),
-            if (pa.isNaN) "-" else pa.toString, if (pm.isNaN) "-" else pm.toString)
-      })
-    results.foreach { case (name, n, _, _, _) => println(s"$name gaps: $n") }
-
-    for ((name, _, habitRows, gtiRows, sliRow) <- results) {
-      val habitAvg = habitRows.map(_._4.avgLatency)
-      val gtiAvg   = gtiRows.map(_._4.avgLatency)
+    for (t <- tables) {
+      val name     = t.dataset
+      val habitAvg = t.habit.map(_.res.avgLatency)
+      val gtiAvg   = t.gti.map(_.res.avgLatency)
       // HABIT sub-second on average; slower at finer resolution (r=10 > r=9).
       assert(habitAvg.forall(_ < 1.0), s"$name: HABIT not sub-second: $habitAvg")
       // Finer resolution means longer cell paths: r=10 should not be
       // substantially faster than r=9 at the same tolerance (warm-up done).
-      assert(habitRows(3)._4.avgLatency >= habitRows(1)._4.avgLatency * 0.5,
+      assert(t.habit(3).res.avgLatency >= t.habit(1).res.avgLatency * 0.5,
         s"$name: r=10 unexpectedly much faster than r=9")
       // GTI is slower than HABIT's fastest configuration.
       assert(gtiAvg.min > habitAvg.min, s"$name: GTI ${gtiAvg.min} not slower than HABIT ${habitAvg.min}")
       // Figure 5 shape on KIEL: both model-based methods beat SLI.
       if (name == "KIEL") {
-        val sliDtw = sliRow._4.meanDtw
-        assert(habitRows.map(_._4.meanDtw).min < sliDtw, s"HABIT worse than SLI on KIEL")
-        assert(gtiRows.map(_._4.meanDtw).min < sliDtw, s"GTI worse than SLI on KIEL")
+        val sliDtw = t.sli.res.meanDtw
+        assert(t.habit.map(_.res.meanDtw).min < sliDtw, s"HABIT worse than SLI on KIEL")
+        assert(t.gti.map(_.res.meanDtw).min < sliDtw, s"GTI worse than SLI on KIEL")
       }
     }
   }
@@ -102,7 +54,7 @@ class Table4LatencyBench extends AnyFunSuite {
       if (gaps.isEmpty) Double.NaN else GapHarness.evaluate(h.impute, gaps).medianDtw
     }
     println(s"\nFigure 7 [KIEL, r=9 t=100] median DTW for 1h/2h/4h gaps: " +
-      errs.map(e => if (e.isNaN) "n/a" else fmt(e)).mkString(" / "))
+      errs.map(e => if (e.isNaN) "n/a" else Tables.fmt(e)).mkString(" / "))
     val valid = errs.filterNot(_.isNaN)
     assert(valid.nonEmpty)
     // Median error for 4h gaps stays within ~6x of the 1h error — "the

@@ -1,7 +1,6 @@
 package repro.jobs
 
-import repro.exp.Prep
-import repro.exp.Prep.fmt
+import repro.exp.{Prep, Tables}
 
 /** spark-submit entrypoint reproducing Table 1 (dataset characteristics).
   * Usage: Table1Datasets [danTrips kielTrips sarTrips sarShips]
@@ -13,14 +12,8 @@ object Table1Datasets {
     val kielN = args.lift(1).map(_.toInt).getOrElse(60)
     val sarN  = args.lift(2).map(_.toInt).getOrElse(400)
     val sarS  = args.lift(3).map(_.toInt).getOrElse(120)
-    val sets = Seq(Prep.dan(spark, danN), Prep.kiel(spark, kielN), Prep.sar(spark, sarN, sarS))
-    Prep.printTable("Table 1: AIS dataset characteristics",
-      Seq("Dataset", "Size MB", "Positions", "Trips", "Ships"),
-      sets.map { p =>
-        Seq(p.name, fmt(p.rawSizeMb), p.cleaned.count().toString,
-            p.trips.select("trip_id").distinct().count().toString,
-            p.trips.select("vessel_id").distinct().count().toString)
-      })
+    Tables.printTable1(Tables.table1(
+      Seq(Prep.dan(spark, danN), Prep.kiel(spark, kielN), Prep.sar(spark, sarN, sarS))))
     spark.stop()
   }
 }

@@ -1,9 +1,6 @@
 package repro.jobs
 
-import repro.baselines.GTI
-import repro.core.MotionGraph
-import repro.exp.Prep
-import repro.exp.Prep.fmt
+import repro.exp.{Prep, Tables}
 
 /** spark-submit entrypoint reproducing Table 2 (framework storage size in
   * MB) for HABIT r=6..10 and GTI rd={1e-4,5e-4,1e-3} on KIEL and SAR.
@@ -11,20 +8,7 @@ import repro.exp.Prep.fmt
 object Table2Storage {
   def main(args: Array[String]): Unit = {
     val spark = Prep.session("table2-storage")
-    val kiel  = Prep.kiel(spark)
-    val sar   = Prep.sar(spark)
-    val habit = (6 to 10).map { r =>
-      Seq("HABIT", s"r = $r",
-        fmt(MotionGraph.build(kiel.trainDf, r).serializedSizeBytes / 1e6),
-        fmt(MotionGraph.build(sar.trainDf, r).serializedSizeBytes / 1e6))
-    }
-    val gti = Seq(1e-4, 5e-4, 1e-3).map { rd =>
-      Seq("GTI", s"rd = $rd",
-        fmt(GTI.build(kiel.gtiPaths, 500, rd).serializedSizeBytes / 1e6),
-        fmt(GTI.build(sar.gtiPaths, 500, rd).serializedSizeBytes / 1e6))
-    }
-    Prep.printTable("Table 2: framework storage size (MB)",
-      Seq("Method", "Configuration", "KIEL", "SAR"), habit ++ gti)
+    Tables.printTable2(Tables.table2(Prep.kiel(spark), Prep.sar(spark)))
     spark.stop()
   }
 }

@@ -1,9 +1,6 @@
 package repro.jobs
 
-import repro.core.{Habit, HabitConfig, MotionGraph}
-import repro.exp.Prep
-import repro.exp.Prep.fmt
-import repro.geo.Geo
+import repro.exp.{Prep, Tables}
 
 /** spark-submit entrypoint reproducing Table 3 (effect of RDP tolerance on
   * imputed trajectories, DAN dataset, 60-min gaps).
@@ -11,29 +8,7 @@ import repro.geo.Geo
 object Table3Simplification {
   def main(args: Array[String]): Unit = {
     val spark = Prep.session("table3-simplification")
-    val dan   = Prep.dan(spark)
-    val gaps  = dan.gaps(3600)
-    val rows = for {
-      r <- Seq(9, 10)
-      graph = MotionGraph.build(dan.trainDf, r)
-      t <- Seq(0.0, 100.0, 250.0, 500.0, 1000.0)
-    } yield {
-      val habit = new Habit(graph, HabitConfig(res = r, toleranceM = t))
-      val stats = gaps.map(g => Geo.turnStats(habit.impute(g.from, g.to)))
-      Seq(r.toString, t.toInt.toString,
-        fmt(stats.map(_.cnt.toDouble).sum / stats.size),
-        fmt(stats.map(_.avgRot).sum / stats.size),
-        fmt(stats.map(_.maxRot).sum / stats.size),
-        fmt(stats.map(_.over45.toDouble).sum / stats.size))
-    }
-    val orig = gaps.map(g => Geo.turnStats(g.truth))
-    Prep.printTable("Table 3: simplification effect on imputed paths [DAN]",
-      Seq("r", "t", "cnt", "Avg rot", "Max rot", ">45"),
-      rows :+ Seq("Original", "-",
-        fmt(orig.map(_.cnt.toDouble).sum / orig.size),
-        fmt(orig.map(_.avgRot).sum / orig.size),
-        fmt(orig.map(_.maxRot).sum / orig.size),
-        fmt(orig.map(_.over45.toDouble).sum / orig.size)))
+    Tables.printTable3(Tables.table3(Prep.dan(spark)))
     spark.stop()
   }
 }

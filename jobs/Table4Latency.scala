@@ -1,10 +1,6 @@
 package repro.jobs
 
-import repro.baselines.{GTI, SLI}
-import repro.core.{Habit, HabitConfig, MotionGraph}
-import repro.eval.GapHarness
-import repro.exp.Prep
-import repro.exp.Prep.fmt
+import repro.exp.{Prep, Tables}
 
 /** spark-submit entrypoint reproducing Table 4 (average and maximum
   * imputation query latency) plus the Figure 5 accuracy comparison, on
@@ -13,30 +9,7 @@ import repro.exp.Prep.fmt
 object Table4Latency {
   def main(args: Array[String]): Unit = {
     val spark = Prep.session("table4-latency")
-    val rows = for (p <- Seq(Prep.kiel(spark), Prep.sar(spark))) yield {
-      val gaps   = p.gaps(3600)
-      val graphs = Seq(9, 10).map(r => r -> MotionGraph.build(p.trainDf, r)).toMap
-      val habit = for ((r, t) <- Seq((9, 100), (9, 250), (10, 100), (10, 250))) yield {
-        val res = GapHarness.evaluate(
-          new Habit(graphs(r), HabitConfig(res = r, toleranceM = t)).impute, gaps)
-        Seq(p.name, "HABIT", s"r=$r t=$t", f"${res.avgLatency}%.4f",
-            f"${res.maxLatency}%.4f", fmt(res.meanDtw), fmt(res.medianDtw))
-      }
-      val gtiConfigs =
-        if (p.name == "KIEL") Seq((250.0, 1e-4), (250.0, 5e-4), (250.0, 1e-3))
-        else Seq((250.0, 1e-4), (250.0, 5e-4), (500.0, 1e-3))
-      val gti = for ((rm, rd) <- gtiConfigs) yield {
-        val res = GapHarness.evaluate(GTI.build(p.gtiPaths, rm, rd).impute, gaps)
-        Seq(p.name, "GTI", s"rm=${rm.toInt} rd=$rd", f"${res.avgLatency}%.4f",
-            f"${res.maxLatency}%.4f", fmt(res.meanDtw), fmt(res.medianDtw))
-      }
-      val sli = GapHarness.evaluate(SLI.impute, gaps)
-      habit ++ gti :+ Seq(p.name, "SLI", "-", f"${sli.avgLatency}%.4f",
-        f"${sli.maxLatency}%.4f", fmt(sli.meanDtw), fmt(sli.medianDtw))
-    }
-    Prep.printTable("Table 4: query latency (s) + DTW accuracy",
-      Seq("Dataset", "Method", "Config", "Avg s", "Max s", "mean DTW", "med DTW"),
-      rows.flatten)
+    Tables.printTable4(Tables.table4(Seq(Prep.kiel(spark), Prep.sar(spark))))
     spark.stop()
   }
 }

@@ -26,30 +26,34 @@ object DTW {
     normalized(Geo.densify(imputed, DensifyM).toIndexedSeq,
                Geo.densify(original, DensifyM).toIndexedSeq)
 
-  private def align(a: IndexedSeq[LatLng], b: IndexedSeq[LatLng]): (Double, Int) = {
+  /** Classic DTW over two rolling rows of the (n+1)×(m+1) cost matrix:
+    * alignment cost and warping-path length (matched pairs).
+    */
+  private[eval] def align(a: IndexedSeq[LatLng], b: IndexedSeq[LatLng]): (Double, Int) = {
     require(a.nonEmpty && b.nonEmpty, "DTW over empty path")
     val n = a.size; val m = b.size
-    val inf  = Double.PositiveInfinity
-    val cost = Array.fill(n + 1, m + 1)(inf)
-    val len  = Array.fill(n + 1, m + 1)(0)
-    cost(0)(0) = 0.0
+    var prevCost = Array.fill(m + 1)(Double.PositiveInfinity)
+    var prevLen  = new Array[Int](m + 1)
+    var cost     = new Array[Double](m + 1)
+    var len      = new Array[Int](m + 1)
+    prevCost(0) = 0.0
     var i = 1
     while (i <= n) {
+      val p = a(i - 1)
+      cost(0) = Double.PositiveInfinity
       var j = 1
       while (j <= m) {
-        val d = Geo.haversineM(a(i - 1), b(j - 1))
-        val (pc, pl) = {
-          val c1 = cost(i - 1)(j); val c2 = cost(i)(j - 1); val c3 = cost(i - 1)(j - 1)
-          if (c3 <= c1 && c3 <= c2) (c3, len(i - 1)(j - 1))
-          else if (c1 <= c2) (c1, len(i - 1)(j))
-          else (c2, len(i)(j - 1))
-        }
-        cost(i)(j) = d + pc
-        len(i)(j)  = pl + 1
+        val d  = Geo.haversineM(p, b(j - 1))
+        val c1 = prevCost(j); val c2 = cost(j - 1); val c3 = prevCost(j - 1)
+        if (c3 <= c1 && c3 <= c2) { cost(j) = d + c3; len(j) = prevLen(j - 1) + 1 }
+        else if (c1 <= c2)        { cost(j) = d + c1; len(j) = prevLen(j) + 1 }
+        else                      { cost(j) = d + c2; len(j) = len(j - 1) + 1 }
         j += 1
       }
+      val tc = prevCost; prevCost = cost; cost = tc
+      val tl = prevLen; prevLen = len; len = tl
       i += 1
     }
-    (cost(n)(m), len(n)(m))
+    (prevCost(m), prevLen(m))
   }
 }

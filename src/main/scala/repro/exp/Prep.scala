@@ -5,9 +5,9 @@ import repro.eval.{Gap, GapHarness, TimedPoint}
 import repro.h3.HexGrid
 import repro.preprocess.{Cleaner, TripSegmenter}
 
-/** Shared experiment preparation used by both the spark-submit jobs in
-  * ``jobs/`` and the bench suites: dataset generation → cleaning →
-  * segmentation → 70/30 split → gap extraction, all deterministic.
+/** Shared experiment preparation used by [[Tables]], the tests and the
+  * benchmark: dataset generation → cleaning → segmentation → 70/30 split →
+  * gap extraction, all deterministic.
   */
 object Prep {
 
@@ -48,7 +48,9 @@ object Prep {
   def sar(spark: SparkSession, nTrips: Int = 400, nShips: Int = 120): Prepared =
     prepare("SAR", repro.ais.Datasets.sar(spark, nTrips, nShips).cache())
 
-  /** SparkSession for standalone jobs (spark-submit or sbt runMain). */
+  /** The SparkSession of the jobs (spark-submit or sbt runMain) and the
+    * tests, with the HexGrid UDFs registered.
+    */
   def session(app: String): SparkSession = {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
@@ -59,14 +61,5 @@ object Prep {
       .getOrCreate()
     HexGrid.registerUdfs(s)
     s
-  }
-
-  def fmt(d: Double): String = f"$d%.2f"
-
-  def printTable(title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
-    println(s"\n=== $title ===")
-    println(header.mkString("| ", " | ", " |"))
-    println(header.map(_ => "---").mkString("| ", " | ", " |"))
-    rows.foreach(r => println(r.mkString("| ", " | ", " |")))
   }
 }

@@ -2,11 +2,49 @@ package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.geo.{Geo, LatLng}
+import scala.util.Random
 
 class DTWSpec extends AnyFunSuite {
 
   private def line(n: Int, lat: Double = 55.0): IndexedSeq[LatLng] =
     (0 until n).map(i => LatLng(lat, 11.0 + i * 0.002))
+
+  /** Textbook full-matrix DTW with the same tie order as `DTW.align`:
+    * diagonal first, then the cell above, then the cell to the left.
+    */
+  private def referenceAlign(a: IndexedSeq[LatLng], b: IndexedSeq[LatLng]): (Double, Int) = {
+    val n = a.size; val m = b.size
+    val cost = Array.fill(n + 1, m + 1)(Double.PositiveInfinity)
+    val len  = Array.fill(n + 1, m + 1)(0)
+    cost(0)(0) = 0.0
+    for (i <- 1 to n; j <- 1 to m) {
+      val c1 = cost(i - 1)(j); val c2 = cost(i)(j - 1); val c3 = cost(i - 1)(j - 1)
+      val (pc, pl) =
+        if (c3 <= c1 && c3 <= c2) (c3, len(i - 1)(j - 1))
+        else if (c1 <= c2) (c1, len(i - 1)(j))
+        else (c2, len(i)(j - 1))
+      cost(i)(j) = Geo.haversineM(a(i - 1), b(j - 1)) + pc
+      len(i)(j)  = pl + 1
+    }
+    (cost(n)(m), len(n)(m))
+  }
+
+  test("rolling-row DTW equals the full-matrix reference exactly") {
+    val rnd = new Random(5)
+    def path(k: Int, twoPoints: Boolean): IndexedSeq[LatLng] = IndexedSeq.fill(k) {
+      if (twoPoints) LatLng(55.0, 11.0 + rnd.nextInt(2) * 0.01)
+      else LatLng(55.0 + rnd.nextDouble() * 0.1, 11.0 + rnd.nextDouble() * 0.1)
+    }
+    val spread = Seq((1, 1), (1, 23), (23, 1), (2, 9), (40, 17)) ++
+      Seq.fill(30)((1 + rnd.nextInt(60), 1 + rnd.nextInt(60)))
+    // Short paths over only two distinct points: equal-cost predecessors
+    // are common there, which exercises the tie order.
+    val ties = Seq.fill(3000)((1 + rnd.nextInt(12), 1 + rnd.nextInt(12)))
+    for (((n, m), twoPoints) <- spread.map((_, false)) ++ ties.map((_, true))) {
+      val a = path(n, twoPoints); val b = path(m, twoPoints)
+      assert(DTW.align(a, b) == referenceAlign(a, b), s"$n x $m, twoPoints=$twoPoints")
+    }
+  }
 
   test("identical paths have zero cost") {
     assert(DTW.cost(line(20), line(20)) === 0.0)
