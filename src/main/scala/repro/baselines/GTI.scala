@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.core.AStar
 import repro.geo.{Geo, LatLng}
 import scala.collection.mutable
 
@@ -9,8 +10,8 @@ import scala.collection.mutable
   * with edges (a) between consecutive points of the same trajectory and
   * (b) between points of different trajectories within the two radius
   * parameters — `rm` meters and `rd` degrees — and imputes a gap as the
-  * Dijkstra shortest path (in meters) between the nodes nearest to the
-  * gap endpoints.
+  * shortest path (in meters) between the nodes nearest to the gap
+  * endpoints, found by the search HABIT uses too (`AStar.search`).
   *
   * Per-point cross-trajectory edges are capped (`maxCross`) so dense lanes
   * stay computable at bench scale; the cap is far above what the sparse
@@ -19,17 +20,8 @@ import scala.collection.mutable
   */
 final class GTI private (lats: Array[Double], lons: Array[Double],
                          adjIdx: Array[Array[Int]], adjCost: Array[Array[Double]],
-                         rdDeg: Double) extends Serializable {
-
-  private val bucket: Map[(Long, Long), Array[Int]] = {
-    val m = mutable.Map.empty[(Long, Long), mutable.ArrayBuffer[Int]]
-    var i = 0
-    while (i < lats.length) {
-      m.getOrElseUpdate(GTI.key(lats(i), lons(i), rdDeg), mutable.ArrayBuffer.empty) += i
-      i += 1
-    }
-    m.view.mapValues(_.toArray).toMap
-  }
+                         rdDeg: Double, bucket: Map[(Long, Long), Array[Int]])
+    extends Serializable {
 
   def nodeCount: Int = lats.length
   def edgeCount: Int = adjIdx.iterator.map(_.length).sum
@@ -47,7 +39,7 @@ final class GTI private (lats: Array[Double], lons: Array[Double],
   /** Index of the training point nearest to `p` (expanding bucket rings). */
   def nearestNode(p: LatLng): Int = {
     var ring = 0
-    val (bq, br) = (math.floor(p.lat / rdDeg).toLong, math.floor(p.lon / rdDeg).toLong)
+    val (bq, br) = GTI.key(p.lat, p.lon, rdDeg)
     while (ring < 1000) {
       var best = -1; var bestD = Double.PositiveInfinity
       var dq = -ring
@@ -56,7 +48,7 @@ final class GTI private (lats: Array[Double], lons: Array[Double],
         while (dr <= ring) {
           if (math.max(math.abs(dq), math.abs(dr)) == ring) {
             for (i <- bucket.getOrElse((bq + dq, br + dr), Array.empty[Int])) {
-              val d = Geo.haversineM(p, LatLng(lats(i), lons(i)))
+              val d = Geo.haversineM(p, point(i))
               if (d < bestD) { bestD = d; best = i }
             }
           }
@@ -68,60 +60,29 @@ final class GTI private (lats: Array[Double], lons: Array[Double],
       ring += 1
     }
     // Degenerate fallback: full scan.
-    (0 until lats.length).minBy(i => Geo.haversineM(p, LatLng(lats(i), lons(i))))
+    (0 until lats.length).minBy(i => Geo.haversineM(p, point(i)))
   }
 
-  /** Impute the gap between `from` and `to`: Dijkstra over the point graph
-    * (cost in meters); straight segment if no path exists.
+  /** Impute the gap between `from` and `to`: shortest path over the point
+    * graph (cost in meters); straight segment if no path exists.
     */
   def impute(from: LatLng, to: LatLng): IndexedSeq[LatLng] = {
-    val s = nearestNode(from); val g = nearestNode(to)
-    dijkstra(s, g) match {
-      case Some(path) =>
-        val mid = path.map(i => LatLng(lats(i), lons(i)))
-          .filter(p => Geo.haversineM(p, from) > 1.0 && Geo.haversineM(p, to) > 1.0)
-        from +: mid :+ to
-      case None => IndexedSeq(from, to)
+    val g    = nearestNode(to)
+    val goal = point(g)
+    // The straight-line distance to the goal bounds the remaining cost and
+    // keeps the search from flooding the whole point graph on long lanes.
+    val h    = (i: Int) => Geo.haversineM(point(i), goal)
+    val path = AStar.search(nearestNode(from), g, h) { (u, relax) =>
+      val ni = adjIdx(u); val nc = adjCost(u)
+      var k = 0
+      while (k < ni.length) { relax(ni(k), nc(k)); k += 1 }
     }
+    val interior = path.fold(IndexedSeq.empty[LatLng])(_.map(point)
+      .filter(p => Geo.haversineM(p, from) > 1.0 && Geo.haversineM(p, to) > 1.0))
+    from +: interior :+ to
   }
 
-  private def dijkstra(s: Int, g: Int): Option[IndexedSeq[Int]] = {
-    if (s == g) return Some(IndexedSeq(s))
-    val dist = mutable.Map(s -> 0.0)
-    val prev = mutable.Map.empty[Int, Int]
-    val done = mutable.Set.empty[Int]
-    // A*-style lower bound (straight-line meters to goal) keeps Dijkstra
-    // from flooding the whole point graph on long lanes.
-    val goal = LatLng(lats(g), lons(g))
-    def h(i: Int): Double = Geo.haversineM(LatLng(lats(i), lons(i)), goal)
-    implicit val ord: Ordering[(Int, Double)] = Ordering.by[(Int, Double), Double](_._2).reverse
-    val queue = mutable.PriorityQueue((s, h(s)))
-    while (queue.nonEmpty) {
-      val (u, _) = queue.dequeue()
-      if (u == g) {
-        val path = mutable.ArrayBuffer(g)
-        while (path.last != s) path += prev(path.last)
-        return Some(path.reverse.toIndexedSeq)
-      }
-      if (!done.contains(u)) {
-        done += u
-        val ni = adjIdx(u); val nc = adjCost(u)
-        var k = 0
-        while (k < ni.length) {
-          val v = ni(k)
-          if (!done.contains(v)) {
-            val cand = dist(u) + nc(k)
-            if (cand < dist.getOrElse(v, Double.PositiveInfinity)) {
-              dist(v) = cand; prev(v) = u
-              queue.enqueue((v, cand + h(v)))
-            }
-          }
-          k += 1
-        }
-      }
-    }
-    None
-  }
+  private def point(i: Int): LatLng = LatLng(lats(i), lons(i))
 }
 
 object GTI {
@@ -134,6 +95,7 @@ object GTI {
   def build(trips: Seq[IndexedSeq[LatLng]], rmM: Double, rdDeg: Double,
             maxCross: Int = 16): GTI = {
     val pts  = trips.flatten.toIndexedSeq
+    require(pts.nonEmpty, "GTI needs at least one training point")
     val lats = pts.map(_.lat).toArray
     val lons = pts.map(_.lon).toArray
     val n    = pts.size
@@ -156,9 +118,10 @@ object GTI {
     }
 
     // (b) cross-trajectory proximity edges within rd degrees and rm meters.
-    val buckets = mutable.Map.empty[(Long, Long), mutable.ArrayBuffer[Int]]
-    for (i <- 0 until n)
-      buckets.getOrElseUpdate(key(lats(i), lons(i), rdDeg), mutable.ArrayBuffer.empty) += i
+    // Point indices stay ascending within a bucket, so nearestNode breaks
+    // distance ties by the lowest index.
+    val bucket = (0 until n).groupBy(i => key(lats(i), lons(i), rdDeg))
+      .view.mapValues(_.toArray).toMap
     for (i <- 0 until n) {
       val (bq, br) = key(lats(i), lons(i), rdDeg)
       val cands = mutable.ArrayBuffer.empty[(Int, Double)]
@@ -166,7 +129,7 @@ object GTI {
       while (dq <= 1) {
         var dr = -1
         while (dr <= 1) {
-          for (j <- buckets.getOrElse((bq + dq, br + dr), mutable.ArrayBuffer.empty) if j != i) {
+          for (j <- bucket.getOrElse((bq + dq, br + dr), Array.empty[Int]) if j != i) {
             if (math.abs(lats(j) - lats(i)) <= rdDeg && math.abs(lons(j) - lons(i)) <= rdDeg) {
               val d = Geo.haversineM(pts(i), pts(j))
               if (d <= rmM) cands += ((j, d))
@@ -178,6 +141,6 @@ object GTI {
       }
       adj(i) ++= cands.sortBy(_._2).take(maxCross)
     }
-    new GTI(lats, lons, adj.map(_.map(_._1).toArray), adj.map(_.map(_._2).toArray), rdDeg)
+    new GTI(lats, lons, adj.map(_.map(_._1).toArray), adj.map(_.map(_._2).toArray), rdDeg, bucket)
   }
 }

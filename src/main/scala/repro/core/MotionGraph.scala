@@ -27,15 +27,16 @@ final class MotionGraph(val res: Int,
   def medianLatLng(cell: Long): LatLng =
     nodes.get(cell).map(n => LatLng(n.medLat, n.medLon)).getOrElse(HexGrid.cellCenter(cell))
 
-  /** Nearest graph node to `cell`: expanding k-ring search (cheap, local),
-    * falling back to a full scan by hex distance for far-off cells.
+  /** Nearest graph node to `cell`: expanding k-ring search (cheap, local;
+    * ties within a ring go to the smallest cell id), falling back to a full
+    * scan by hex distance for far-off cells.
     */
   def nearestNode(cell: Long, maxRing: Int = 16): Option[Long] = {
     if (nodes.contains(cell)) return Some(cell)
     var k = 1
     while (k <= maxRing) {
       val hits = HexGrid.ring(cell, k).filter(nodes.contains)
-      if (hits.nonEmpty) return Some(hits.minBy(nodes(_).cell))
+      if (hits.nonEmpty) return Some(hits.min)
       k += 1
     }
     if (nodes.isEmpty) None

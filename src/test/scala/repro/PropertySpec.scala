@@ -31,21 +31,26 @@ class PropertySpec extends AnyFunSuite {
       edges.groupBy(_.from).view.mapValues(_.toIndexedSeq).toMap)
   }
 
-  private def referenceDijkstra(g: MotionGraph, s: Long, t: Long): Option[Double] = {
+  /** HABIT's edge function over a motion graph, as `AStar.shortestPath` relaxes it. */
+  private def cellEdges(g: MotionGraph)(cell: Long, relax: (Long, Double) => Unit): Unit =
+    g.adjacency.getOrElse(cell, IndexedSeq.empty).foreach(e => relax(e.to, AStar.edgeCost(e)))
+
+  /** Plain Dijkstra (no heuristic) over the same edge-function shape as `AStar.search`. */
+  private def referenceDijkstra[N](s: N, t: N)(edges: (N, (N, Double) => Unit) => Unit): Option[Double] = {
     val dist = mutable.Map(s -> 0.0)
-    val done = mutable.Set.empty[Long]
-    val pq = mutable.PriorityQueue((s, 0.0))(Ordering.by[(Long, Double), Double](_._2).reverse)
+    val done = mutable.Set.empty[N]
+    val pq = mutable.PriorityQueue((s, 0.0))(Ordering.by[(N, Double), Double](_._2).reverse)
     while (pq.nonEmpty) {
       val (u, du) = pq.dequeue()
       if (u == t) return Some(du)
       if (!done(u)) {
         done += u
-        for (e <- g.adjacency.getOrElse(u, IndexedSeq.empty)) {
-          val nd = du + AStar.edgeCost(e)
-          if (nd < dist.getOrElse(e.to, Double.PositiveInfinity)) {
-            dist(e.to) = nd; pq.enqueue((e.to, nd))
+        edges(u, (v, c) => {
+          val nd = du + c
+          if (nd < dist.getOrElse(v, Double.PositiveInfinity)) {
+            dist(v) = nd; pq.enqueue((v, nd))
           }
-        }
+        })
       }
     }
     None
@@ -57,7 +62,7 @@ class PropertySpec extends AnyFunSuite {
       val g = randomGraph(rnd, 30)
       val cells = g.nodes.keys.toIndexedSeq
       val s = cells(rnd.nextInt(cells.size)); val t = cells(rnd.nextInt(cells.size))
-      val ref = referenceDijkstra(g, s, t)
+      val ref = referenceDijkstra(s, t)(cellEdges(g))
       val got = AStar.shortestPath(g, s, t)
       assert(got.isDefined == ref.isDefined, s"trial $trial reachability mismatch")
       for (path <- got) {
@@ -65,6 +70,32 @@ class PropertySpec extends AnyFunSuite {
           AStar.edgeCost(g.adjacency(a).filter(_.to == b).minBy(AStar.edgeCost))
         }.sum
         assert(math.abs(cost - ref.get) < 1e-9, s"trial $trial: A* $cost vs Dijkstra ${ref.get}")
+      }
+    }
+  }
+
+  test("search cost equals reference Dijkstra cost on 40 random GTI-shaped point graphs") {
+    // Int nodes, haversine edge costs and the haversine heuristic, as in GTI.impute.
+    val rnd = new Random(104)
+    for (trial <- 1 to 40) {
+      val n   = 30
+      val pts = IndexedSeq.fill(n)(LatLng(55.0 + rnd.nextDouble() * 0.5, 11.0 + rnd.nextDouble() * 0.5))
+      val adj = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
+      for (_ <- 0 until n * 3) {
+        val a = rnd.nextInt(n); val b = rnd.nextInt(n)
+        if (a != b) adj(a) += b
+      }
+      def edges(u: Int, relax: (Int, Double) => Unit): Unit =
+        adj(u).foreach(v => relax(v, Geo.haversineM(pts(u), pts(v))))
+      val s = rnd.nextInt(n); val t = rnd.nextInt(n)
+      val ref = referenceDijkstra(s, t)(edges)
+      val got = AStar.search(s, t, (i: Int) => Geo.haversineM(pts(i), pts(t)))(edges)
+      assert(got.isDefined == ref.isDefined, s"trial $trial reachability mismatch")
+      for (path <- got) {
+        assert(path.head == s && path.last == t)
+        assert(path.sliding(2).forall { case Seq(a, b) => adj(a).contains(b); case _ => true })
+        val cost = path.sliding(2).collect { case Seq(a, b) => Geo.haversineM(pts(a), pts(b)) }.sum
+        assert(math.abs(cost - ref.get) < 1e-6, s"trial $trial: search $cost vs Dijkstra ${ref.get}")
       }
     }
   }

@@ -86,6 +86,11 @@ class GTISpec extends AnyFunSuite {
     assert(g1.edgeCount == g2.edgeCount)
   }
 
+  test("an empty training set is rejected") {
+    intercept[IllegalArgumentException](GTI.build(Seq.empty, rmM = 250, rdDeg = 1e-3))
+    intercept[IllegalArgumentException](GTI.build(Seq(IndexedSeq.empty), rmM = 250, rdDeg = 1e-3))
+  }
+
   test("trajectory edges are traversable in both sail directions") {
     val t = lane()
     val g = GTI.build(Seq(t), rmM = 10, rdDeg = 1e-6) // no cross edges

@@ -78,6 +78,22 @@ class AStarSpec extends AnyFunSuite {
     assert(AStar.shortestPath(g, c(0, 0), c(2, 0)).get.size == 3)
   }
 
+  // Generic search over Int nodes: 0 <-> 1 form a cycle, 2 has no in-edges.
+  private def intEdges(n: Int, relax: (Int, Double) => Unit): Unit =
+    Map(0 -> Seq(1 -> 1.0), 1 -> Seq(0 -> 1.0), 2 -> Seq(0 -> 1.0)).getOrElse(n, Nil)
+      .foreach { case (to, cost) => relax(to, cost) }
+  private val noHeuristic = (_: Int) => 0.0
+
+  test("generic search: start equals goal, and a two-hop path") {
+    assert(AStar.search(1, 1, noHeuristic)(intEdges) == Some(IndexedSeq(1)))
+    assert(AStar.search(2, 1, noHeuristic)(intEdges) == Some(IndexedSeq(2, 0, 1)))
+  }
+
+  test("generic search: unreachable goal yields None") {
+    assert(AStar.search(0, 2, noHeuristic)(intEdges).isEmpty)
+    assert(AStar.search(1, 3, noHeuristic)(intEdges).isEmpty) // goal not in the graph
+  }
+
   test("edgeCost decreases with frequency but stays above hex distance") {
     val lo = AStar.edgeCost(GraphEdge(c(0, 0), c(1, 0), 1, 1))
     val hi = AStar.edgeCost(GraphEdge(c(0, 0), c(1, 0), 1000, 1))
