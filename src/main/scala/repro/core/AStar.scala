@@ -35,7 +35,10 @@ object AStar {
     * calls `relax(target, cost)` for each out-edge of `n`, costs >= 0; `h`
     * must never overestimate the remaining cost to `goal`. The queue is
     * ordered by f = cost so far + `h` alone, so the order in which `edges`
-    * reports targets decides between equally cheap paths.
+    * reports targets decides between equally cheap paths. HABIT's graph
+    * keeps each node's out-edges sorted by target cell id, so its choice
+    * among equally cheap paths depends on the graph alone, not on the
+    * order in which Spark returned the edges.
     */
   def search[N](start: N, goal: N, h: N => Double)(
       edges: (N, (N, Double) => Unit) => Unit): Option[IndexedSeq[N]] = {

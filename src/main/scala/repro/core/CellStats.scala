@@ -17,10 +17,12 @@ import org.apache.spark.sql.expressions.Window
 object CellStats {
 
   /** Assign each report its cell `cl` and predecessor cell `lag_cl` along
-    * the trip sequence. Requires HexGrid UDFs registered.
+    * the trip sequence. Requires HexGrid UDFs registered. A trip id encodes
+    * its vessel, so (vessel_id, trip_id) groups exactly as trip_id does, and
+    * trips laid out by vessel_id (as segmented) need no exchange here.
     */
   def withCells(trips: DataFrame, res: Int): DataFrame = {
-    val w = Window.partitionBy("trip_id").orderBy("t")
+    val w = Window.partitionBy("vessel_id", "trip_id").orderBy("t")
     trips
       .withColumn("cl", F.call_udf("h3_cell", F.col("lat"), F.col("lon"), F.lit(res)))
       .withColumn("lag_cl", F.lag("cl", 1).over(w))

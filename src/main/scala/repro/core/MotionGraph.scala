@@ -8,7 +8,9 @@ import scala.collection.mutable
 /** The weighted maritime-network graph of paper §3.2, assembled from the
   * CellStats aggregates. Nodes are H3 cells carrying median position and
   * traffic counts; directed edges carry distinct-trip transition counts
-  * and the hex distance between the two cells.
+  * and the hex distance between the two cells. Each node's out-edges are
+  * sorted by target cell id; A* relaxes them in that order, which decides
+  * among equally cheap paths (see [[AStar.search]]).
   */
 final case class GraphNode(cell: Long, medLat: Double, medLon: Double,
                            cnt: Long, vessels: Long)
@@ -72,20 +74,29 @@ object MotionGraph {
                CellStats.edgeTable(trips, res, exact), res)
   }
 
-  /** Assemble a graph from already-computed cell/edge aggregate tables. */
+  /** Assemble a graph from already-computed cell/edge aggregate tables,
+    * collected in one Spark action: node and edge rows travel as one union,
+    * in which a null `lag_cl` marks a node row. Out-edges are sorted by
+    * target cell, so the graph does not depend on how Spark partitioned
+    * the rows.
+    */
   def fromTables(cellDf: DataFrame, edgeDf: DataFrame, res: Int): MotionGraph = {
-    val nodes = cellDf.select("cl", "med_lat", "med_lon", "cnt", "vessels")
-      .collect().map { r =>
-        val n = GraphNode(r.getLong(0), r.getDouble(1), r.getDouble(2), r.getLong(3), r.getLong(4))
-        n.cell -> n
-      }.toMap
+    val rows = cellDf.select("cl", "med_lat", "med_lon", "cnt", "vessels")
+      .unionByName(edgeDf.select("cl", "lag_cl", "transitions", "dist"), allowMissingColumns = true)
+      .select("cl", "med_lat", "med_lon", "cnt", "vessels", "lag_cl", "transitions", "dist")
+      .collect()
+    val (nodeRs, edgeRs) = rows.partition(_.isNullAt(5))
+    val nodes = nodeRs.map { r =>
+      val n = GraphNode(r.getLong(0), r.getDouble(1), r.getDouble(2), r.getLong(3), r.getLong(4))
+      n.cell -> n
+    }.toMap
     val adj = mutable.Map.empty[Long, mutable.ArrayBuffer[GraphEdge]]
-    edgeDf.select("lag_cl", "cl", "transitions", "dist").collect().foreach { r =>
-      val e = GraphEdge(r.getLong(0), r.getLong(1), r.getLong(2), r.getInt(3))
+    edgeRs.foreach { r =>
+      val e = GraphEdge(r.getLong(5), r.getLong(0), r.getLong(6), r.getInt(7))
       // Keep only edges whose endpoints have node statistics.
       if (nodes.contains(e.from) && nodes.contains(e.to))
         adj.getOrElseUpdate(e.from, mutable.ArrayBuffer.empty) += e
     }
-    new MotionGraph(res, nodes, adj.view.mapValues(_.toIndexedSeq).toMap)
+    new MotionGraph(res, nodes, adj.view.mapValues(_.sortBy(_.to).toIndexedSeq).toMap)
   }
 }

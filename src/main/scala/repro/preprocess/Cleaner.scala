@@ -18,11 +18,15 @@ object Cleaner {
     * (vessel_id, ship_type, t, lat, lon, sog, cog).
     */
   def clean(raw: DataFrame): DataFrame = {
+    // One hash exchange on vessel_id serves both windows below, and the
+    // segmenter's windows after them: each is partitioned by vessel_id plus
+    // possibly more columns, which that layout already clusters.
     val valid = raw.filter(
       F.col("lat").between(-90.0, 90.0) &&
       F.col("lon").between(-180.0, 180.0) &&
       F.col("sog").between(0.0, 80.0) &&
       F.col("cog").between(0.0, 360.0))
+      .repartition(F.col("vessel_id"))
 
     // Exact and same-timestamp duplicates: keep one report per (vessel, t).
     val dedup = valid

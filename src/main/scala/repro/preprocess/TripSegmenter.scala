@@ -40,13 +40,15 @@ object TripSegmenter {
       .drop("_stopped", "_dt", "_prevStopped", "_boundary", "_seq")
 
     // Tiny-trip exclusion: local displacements within <= 2 adjacent cells
-    // at the reference resolution carry no routing information.
-    val withCell = withTrip.withColumn("_rcl",
-      F.call_udf("h3_cell", F.col("lat"), F.col("lon"), F.lit(params.refRes)))
-    val keep = withCell.groupBy("trip_id").agg(
-      F.countDistinct("_rcl").as("_ncells"), F.count(F.lit(1)).as("_npts"))
+    // at the reference resolution carry no routing information. A window
+    // over (vessel_id, trip_id) reuses the vessel_id layout; a groupBy and
+    // a join back would shuffle twice.
+    val trip = Window.partitionBy("vessel_id", "trip_id")
+    withTrip
+      .withColumn("_rcl", F.call_udf("h3_cell", F.col("lat"), F.col("lon"), F.lit(params.refRes)))
+      .withColumn("_ncells", F.size(F.collect_set("_rcl").over(trip)))
+      .withColumn("_npts", F.count(F.lit(1)).over(trip))
       .filter(F.col("_ncells") > 2 && F.col("_npts") >= params.minPoints)
-      .select("trip_id")
-    withCell.join(keep, Seq("trip_id")).drop("_rcl")
+      .drop("_rcl", "_ncells", "_npts")
   }
 }

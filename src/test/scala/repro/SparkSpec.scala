@@ -1,6 +1,9 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Prep
 
@@ -14,6 +17,18 @@ import repro.exp.Prep
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** The physical plan of `df` as planned before it runs: under adaptive
+    * execution, the initial plan, with every exchange the planner inserted.
+    */
+  def plannedPlan(df: DataFrame): SparkPlan = df.queryExecution.executedPlan match {
+    case a: AdaptiveSparkPlanExec => a.initialPlan
+    case p                        => p
+  }
+
+  /** Shuffle exchanges in `plan`; cached inputs count as already laid out. */
+  def shuffles(plan: SparkPlan): Seq[ShuffleExchangeExec] =
+    plan.collect { case e: ShuffleExchangeExec => e }
 }
 
 object SparkSpec {

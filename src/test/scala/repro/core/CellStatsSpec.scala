@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
@@ -52,6 +53,13 @@ class CellStatsSpec extends AnyFunSuite with SparkSpec {
     val fleet = trips.select("vessel_id").distinct().count()
     assert(CellStats.cellTable(trips, 8, exact = true).agg(max("vessels"))
       .collect()(0).getLong(0) <= fleet)
+  }
+
+  test("edgeTable over cached segmented trips plans no exchange under its window") {
+    trips.count()
+    val windows = plannedPlan(CellStats.edgeTable(trips, 8)).collect { case w: WindowExec => w }
+    assert(windows.nonEmpty)
+    windows.foreach(w => assert(shuffles(w).isEmpty, s"exchange under the lag window:\n$w"))
   }
 
   test("edgeTable: no self-transitions and no null origins") {

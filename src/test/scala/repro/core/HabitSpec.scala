@@ -26,6 +26,15 @@ class HabitSpec extends AnyFunSuite with SparkSpec {
     assert(gaps.nonEmpty)
   }
 
+  test("graph and imputed paths do not depend on how the trips are partitioned") {
+    val spread = MotionGraph.build(trainDf.repartition(7), 8)
+    val single = MotionGraph.build(trainDf.coalesce(1), 8)
+    assert(spread.nodes == single.nodes)
+    assert(spread.adjacency == single.adjacency)
+    val (hs, h1) = (new Habit(spread, HabitConfig(8, 100)), new Habit(single, HabitConfig(8, 100)))
+    gaps.foreach(g => assert(hs.impute(g.from, g.to) == h1.impute(g.from, g.to)))
+  }
+
   test("imputed path starts and ends exactly at the gap endpoints") {
     val h = new Habit(g8, HabitConfig(res = 8, toleranceM = 100))
     for (g <- gaps.take(5)) {

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.geo.{Geo, LatLng}
@@ -68,8 +70,40 @@ class MotionGraphSpec extends AnyFunSuite with SparkSpec {
   test("graph is deterministic across rebuilds") {
     val g2 = MotionGraph.build(trips, 8, exact = true)
     assert(g2.nodes == g8.nodes)
-    assert(g2.adjacency.view.mapValues(_.toSet).toMap ==
-      g8.adjacency.view.mapValues(_.toSet).toMap)
+    assert(g2.adjacency == g8.adjacency)
+  }
+
+  test("out-edges are sorted by target cell") {
+    assert(g8.adjacency.values.forall(es => es.map(_.to) == es.map(_.to).sorted))
+  }
+
+  /** Names of the SQL executions `body` runs, in order. Events reach the
+    * listener asynchronously, so a marker query runs last and the listener
+    * is read once the marker has arrived.
+    */
+  private def sqlExecutions(body: => Unit): Seq[String] = {
+    val marker = "sql_executions_marker"
+    val seen   = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        seen.add(if (qe.analyzed.output.exists(_.name == marker)) marker else funcName)
+      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit =
+        seen.add(s"$funcName failed")
+    }
+    spark.listenerManager.register(listener)
+    try {
+      body
+      spark.range(1).toDF(marker).collect()
+      val deadline = System.nanoTime() + 30L * 1000000000L
+      while (!seen.contains(marker) && System.nanoTime() < deadline) Thread.sleep(5)
+      assert(seen.contains(marker), "query listener saw no marker within 30 s")
+    } finally spark.listenerManager.unregister(listener)
+    seen.toArray(Array.empty[String]).toSeq.takeWhile(_ != marker)
+  }
+
+  test("build runs one SQL execution per graph") {
+    trips.count()
+    assert(sqlExecutions(MotionGraph.build(trips, 9)) == Seq("collect"))
   }
 
   test("resolution is carried through") {

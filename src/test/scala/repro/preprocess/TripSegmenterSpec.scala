@@ -1,5 +1,8 @@
 package repro.preprocess
 
+import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.catalyst.plans.physical.HashPartitioning
+import org.apache.spark.sql.expressions.Window
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.ais.AisRecord
@@ -114,6 +117,75 @@ class TripSegmenterSpec extends AnyFunSuite with SparkSpec {
     val out = TripSegmenter.segment(df(leg(1, 0, 30, p0)), params)
       .orderBy("t").collect().map(_.getAs[Long]("t"))
     assert(out.toSeq == out.toSeq.sorted)
+  }
+
+  /** `segment` as it was when the tiny-trip rule ran as a groupBy(trip_id)
+    * of cell and point counts joined back to the reports: the reference the
+    * window form of the rule must agree with row for row.
+    */
+  private def groupJoinSegment(cleaned: DataFrame, params: TripSegmenter.Params): DataFrame = {
+    val w = Window.partitionBy("vessel_id").orderBy("t")
+    val flagged = cleaned
+      .withColumn("_stopped", F.col("sog") < params.stopSpeedKn)
+      .withColumn("_dt", F.col("t") - F.lag("t", 1).over(w))
+      .withColumn("_prevStopped", F.lag("_stopped", 1).over(w))
+      .withColumn("_boundary",
+        (F.col("_dt").isNull || F.col("_dt") > params.gapSec ||
+          (F.col("_prevStopped") && !F.col("_stopped"))).cast("int"))
+    val withTrip = flagged
+      .withColumn("_seq", F.sum("_boundary").over(
+        w.rowsBetween(Window.unboundedPreceding, Window.currentRow)))
+      .withColumn("trip_id", F.col("vessel_id") * 1000000L + F.col("_seq"))
+      .filter(!F.col("_stopped"))
+      .drop("_stopped", "_dt", "_prevStopped", "_boundary", "_seq")
+    val withCell = withTrip.withColumn("_rcl",
+      F.call_udf("h3_cell", F.col("lat"), F.col("lon"), F.lit(params.refRes)))
+    val keep = withCell.groupBy("trip_id").agg(
+      F.countDistinct("_rcl").as("_ncells"), F.count(F.lit(1)).as("_npts"))
+      .filter(F.col("_ncells") > 2 && F.col("_npts") >= params.minPoints)
+      .select("trip_id")
+    withCell.join(keep, Seq("trip_id")).drop("_rcl")
+  }
+
+  private def tripRows(df: DataFrame): Seq[(Long, Long, Double, Double)] =
+    df.select("trip_id", "t", "lat", "lon").collect().toSeq
+      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getDouble(3)))
+      .sorted(Ordering.Tuple4(Ordering.Long, Ordering.Long,
+        Ordering.Double.TotalOrdering, Ordering.Double.TotalOrdering))
+
+  private def assertSameAsGroupJoin(cleaned: DataFrame, p: TripSegmenter.Params): Unit = {
+    val expected = tripRows(groupJoinSegment(cleaned, p))
+    assert(tripRows(TripSegmenter.segment(cleaned, p)) == expected)
+  }
+
+  test("window tiny-trip rule keeps exactly the rows of the groupBy + join rule: DAN, KIEL, SAR") {
+    val worlds = Seq(
+      repro.ais.Datasets.dan(spark, nTrips = 8),
+      repro.ais.Datasets.kiel(spark, nTrips = 3),
+      repro.ais.Datasets.sar(spark, nTrips = 30, nShips = 10))
+    worlds.foreach(raw => assertSameAsGroupJoin(Cleaner.clean(raw), TripSegmenter.Params()))
+  }
+
+  test("window tiny-trip rule keeps exactly the rows of the groupBy + join rule: drift and minPoints") {
+    val drift = (0 until 20).map { i =>
+      val p = Geo.destination(p0, 45.0, i * 3.0)
+      AisRecord(1, "cargo", i * 60L, p.lat, p.lon, 1.0, 45.0)
+    }
+    val short = leg(2, 0, 4, p0)
+    val long  = leg(3, 0, 40, LatLng(56.0, 11.0))
+    for (rows <- Seq(drift, short, drift ++ short ++ long); minPoints <- Seq(4, 5, 10))
+      assertSameAsGroupJoin(df(rows), TripSegmenter.Params(minPoints = minPoints))
+  }
+
+  test("cleaning and segmentation plan one shuffle exchange, on vessel_id") {
+    val raw = repro.ais.Datasets.kiel(spark, nTrips = 3).cache()
+    val ex  = shuffles(plannedPlan(TripSegmenter.segment(Cleaner.clean(raw))))
+    assert(ex.size == 1, s"planned exchanges: ${ex.map(_.outputPartitioning)}")
+    ex.head.outputPartitioning match {
+      case h: HashPartitioning => assert(h.expressions.flatMap(_.references.map(_.name)) == Seq("vessel_id"))
+      case other               => fail(s"expected a hash exchange on vessel_id, got $other")
+    }
+    raw.unpersist()
   }
 
   test("end-to-end: synthetic KIEL raw data segments into about one trip per spec") {
